@@ -11,14 +11,15 @@ import (
 )
 
 // Build constructs a BC-Tree over the lifted data matrix (rows x = (p; 1))
-// with Algorithm 4. It uses the same seed-grow splitting rule as Ball-Tree
-// and maintains the same center and radius per node, plus the point-level
-// ball and cone structures. Internal-node centers are assembled from the
-// children via Lemma 1 in O(d) instead of O(d|N|). The input matrix is not
-// modified; the tree keeps a reordered copy so every leaf occupies a
-// contiguous range of rows, sorted by descending r_x for batch pruning.
-// Nodes are appended to the flat arena in preorder, so the root is index 0
-// and both children of a node sit at larger indices.
+// with Algorithm 4, or with cfg.BallTree the Ball-Tree of Algorithm 1. Both
+// use the same seed-grow splitting rule and maintain the same center and
+// radius per node; BC-Tree adds the point-level ball and cone structures.
+// Internal-node centers are assembled from the children via Lemma 1 in O(d)
+// instead of O(d|N|). The input matrix is not modified; the tree keeps a
+// reordered copy so every leaf occupies a contiguous range of rows — sorted
+// by descending r_x for batch pruning in a BC-Tree, in build order in a
+// Ball-Tree. Nodes are appended to the flat arena in preorder, so the root
+// is index 0 and both children of a node sit at larger indices.
 func Build(data *vec.Matrix, cfg Config) *Tree {
 	if data == nil || data.N == 0 {
 		panic("bctree: empty data")
@@ -27,10 +28,12 @@ func Build(data *vec.Matrix, cfg Config) *Tree {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	t := &Tree{
 		ids:      make([]int32, data.N),
-		rx:       make([]float64, data.N),
-		xcos:     make([]float64, data.N),
-		xsin:     make([]float64, data.N),
 		leafSize: cfg.LeafSize,
+	}
+	if !cfg.BallTree {
+		t.rx = make([]float64, data.N)
+		t.xcos = make([]float64, data.N)
+		t.xsin = make([]float64, data.N)
 	}
 	for i := range t.ids {
 		t.ids[i] = int32(i)
@@ -108,7 +111,8 @@ func combineCenters(dst []float32, n *nodeRec, t *Tree, centers []float32) {
 // (||x||cos phi_x, ||x||sin phi_x) structures — Algorithm 4 lines 3-9 — and
 // sorts the leaf's ids in descending order of r_x so the point-level ball
 // bound prunes in a batch. The structures land in the tree's
-// position-indexed arrays at [offset, offset+len(ids)).
+// position-indexed arrays at [offset, offset+len(ids)). A Ball-Tree leaf
+// stops after its center and radius, leaving ids in build order.
 func (b *builder) buildLeaf(ids []int32, offset int32) int32 {
 	t := b.tree
 	ni := int32(len(t.nodes))
@@ -122,6 +126,11 @@ func (b *builder) buildLeaf(ids []int32, offset int32) int32 {
 	b.centers = append(b.centers, center...)
 	centerNorm := vec.Norm(center)
 	t.nodes[ni].centerNorm = centerNorm
+	if t.rx == nil {
+		_, maxDist := b.data.MaxDistFrom(ids, center)
+		t.nodes[ni].radius = maxDist * (1 + radiusSlack)
+		return ni
+	}
 
 	radii := make([]float64, len(ids))
 	for i, id := range ids {

@@ -11,47 +11,51 @@ import (
 // Cancel that fires before the first node visit stops the traversal at once,
 // returning whatever (possibly nothing) the collector holds, without panic.
 func TestSearchCancelImmediate(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 8}, 800, 4)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 3, 5)
-	tree := Build(data, Config{LeafSize: 25, Seed: 2})
-	for i := 0; i < queries.N; i++ {
-		res, st := tree.Search(queries.Row(i), core.SearchOptions{
-			K:      5,
-			Cancel: func() bool { return true },
-		})
-		if len(res) != 0 {
-			t.Fatalf("query %d: immediate cancel verified %d results", i, len(res))
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 8}, 800, 4)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 3, 5)
+		tree := Build(data, Config{LeafSize: 25, Seed: 2, BallTree: ball})
+		for i := 0; i < queries.N; i++ {
+			res, st := tree.Search(queries.Row(i), core.SearchOptions{
+				K:      5,
+				Cancel: func() bool { return true },
+			})
+			if len(res) != 0 {
+				t.Fatalf("query %d: immediate cancel verified %d results", i, len(res))
+			}
+			if st.Candidates != 0 || st.NodesVisited != 0 {
+				t.Fatalf("query %d: immediate cancel did work: %+v", i, st)
+			}
 		}
-		if st.Candidates != 0 || st.NodesVisited != 0 {
-			t.Fatalf("query %d: immediate cancel did work: %+v", i, st)
-		}
-	}
+	})
 }
 
 // TestSearchCancelMidway cancels after a fixed number of polls and checks the
 // search stops early yet returns valid (sorted, deduplicated) partial results.
 func TestSearchCancelMidway(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 8}, 3000, 4)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 3, 5)
-	tree := Build(data, Config{LeafSize: 25, Seed: 2})
-	for i := 0; i < queries.N; i++ {
-		q := queries.Row(i)
-		_, full := tree.Search(q, core.SearchOptions{K: 5})
-		polls := 0
-		res, st := tree.Search(q, core.SearchOptions{
-			K:      5,
-			Cancel: func() bool { polls++; return polls > 4 },
-		})
-		if st.NodesVisited >= full.NodesVisited {
-			t.Fatalf("query %d: canceled search visited %d nodes, full search %d",
-				i, st.NodesVisited, full.NodesVisited)
-		}
-		for j := 1; j < len(res); j++ {
-			if res[j].Dist < res[j-1].Dist {
-				t.Fatalf("query %d: partial results unsorted: %v", i, res)
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 8}, 3000, 4)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 3, 5)
+		tree := Build(data, Config{LeafSize: 25, Seed: 2, BallTree: ball})
+		for i := 0; i < queries.N; i++ {
+			q := queries.Row(i)
+			_, full := tree.Search(q, core.SearchOptions{K: 5})
+			polls := 0
+			res, st := tree.Search(q, core.SearchOptions{
+				K:      5,
+				Cancel: func() bool { polls++; return polls > 4 },
+			})
+			if st.NodesVisited >= full.NodesVisited {
+				t.Fatalf("query %d: canceled search visited %d nodes, full search %d",
+					i, st.NodesVisited, full.NodesVisited)
+			}
+			for j := 1; j < len(res); j++ {
+				if res[j].Dist < res[j-1].Dist {
+					t.Fatalf("query %d: partial results unsorted: %v", i, res)
+				}
 			}
 		}
-	}
+	})
 }

@@ -1,4 +1,4 @@
-package balltree
+package bctree
 
 import (
 	"math"

@@ -24,7 +24,9 @@ import (
 //     the fused vec.ConeSelect kernel; survivors are verified by one blocked
 //     vec.DotBlock call when the whole prefix survives.
 //
-// The ablation switches in opts reproduce the paper's Figure 8 variants.
+// The ablation switches in opts reproduce the paper's Figure 8 variants. A
+// Ball-Tree configuration has no point-level structures, so its searches run
+// with the point-level bounds and Lemma 2 forced off: Algorithm 3 exactly.
 //
 // Search runs on a pooled Searcher, so a steady-state call's only allocation
 // is the returned results slice; use a Searcher directly to eliminate that
@@ -79,7 +81,7 @@ func (t *Tree) releaseSearcher(s *Searcher) { t.searchers.Put(s) }
 // (Dist, ID)) to dst. Passing a recycled dst makes the call allocation-free
 // in steady state.
 func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Result) ([]core.Result, core.Stats) {
-	opts = opts.Normalized()
+	opts = s.tree.searchOpts(opts)
 	s.q = q
 	s.qnorm = vec.Norm(q)
 	s.sqQnorm = s.qnorm * s.qnorm
@@ -112,6 +114,19 @@ func (s *Searcher) Search(q []float32, opts core.SearchOptions, dst []core.Resul
 	s.pred = nil
 	s.usePush = false
 	return s.tk.DrainInto(dst), s.st
+}
+
+// searchOpts normalizes opts and, on a Ball-Tree configuration, forces the
+// point-level ball bound, the point-level cone bound and collaborative inner
+// products (Lemma 2) off: the tree has no arrays for the first two, and with
+// all three off Algorithm 5 is Algorithm 3 — the same visits, candidates and
+// inner-product counts.
+func (t *Tree) searchOpts(opts core.SearchOptions) core.SearchOptions {
+	opts = opts.Normalized()
+	if t.BallTree() {
+		opts.DisablePointBall, opts.DisablePointCone, opts.DisableCollabIP = true, true, true
+	}
+	return opts
 }
 
 // preparePred resolves opts.Pred against the tree's attribute store. It

@@ -20,7 +20,9 @@ import (
 // survivor subsets that would break the dense multi-query verification, and
 // with the shared row loads the dense scan is the cheaper trade. Results and
 // their ordering are bitwise identical to per-query Search calls (exact
-// results are canonical; see internal/exec).
+// results are canonical; see internal/exec). A Ball-Tree configuration runs
+// the same traversal with Lemma 2 and the ball bound forced off, so every
+// query's prefix is its whole leaf.
 //
 // Batches that are not exec.Eligible (budgeted, filtered, or profiled)
 // fall back to the per-query path on one pooled Searcher, preserving
@@ -29,7 +31,7 @@ func (t *Tree) SearchBatch(queries *vec.Matrix, opts core.SearchOptions) ([][]co
 	if queries.D != t.points.D {
 		panic(fmt.Sprintf("bctree: batch queries have dimension %d, want %d", queries.D, t.points.D))
 	}
-	opts = opts.Normalized()
+	opts = t.searchOpts(opts)
 	out := make([][]core.Result, queries.N)
 	stats := make([]core.Stats, queries.N)
 	if queries.N == 0 {

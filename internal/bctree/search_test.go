@@ -47,163 +47,259 @@ func allVariants() []core.SearchOptions {
 }
 
 func TestSearchExactMatchesLinearScanAllVariants(t *testing.T) {
-	for _, family := range []dataset.Family{dataset.FamilyClustered, dataset.FamilyUniform, dataset.FamilyHeavyTail, dataset.FamilyLowRank, dataset.FamilySparse} {
-		raw := dataset.Generate(dataset.Spec{Name: "t", Family: family, RawDim: 20, Clusters: 8}, 600, 1)
-		raw = dataset.Dedup(raw)
-		data := raw.AppendOnes()
-		queries := dataset.GenerateQueries(raw, 10, 2)
-		tree := Build(data, Config{LeafSize: 25, Seed: 3})
-		scan := linearscan.New(data)
-		for _, k := range []int{1, 5, 10} {
-			for i := 0; i < queries.N; i++ {
-				q := queries.Row(i)
-				want, _ := scan.Search(q, core.SearchOptions{K: k})
-				for _, variant := range allVariants() {
-					variant.K = k
-					got, _ := tree.Search(q, variant)
-					if !sameDists(got, want) {
-						t.Fatalf("%v k=%d query %d variant %+v: tree=%v scan=%v",
-							family, k, i, variant, got, want)
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		for _, family := range []dataset.Family{dataset.FamilyClustered, dataset.FamilyUniform, dataset.FamilyHeavyTail, dataset.FamilyLowRank, dataset.FamilySparse} {
+			raw := dataset.Generate(dataset.Spec{Name: "t", Family: family, RawDim: 20, Clusters: 8}, 600, 1)
+			raw = dataset.Dedup(raw)
+			data := raw.AppendOnes()
+			queries := dataset.GenerateQueries(raw, 10, 2)
+			tree := Build(data, Config{LeafSize: 25, Seed: 3, BallTree: ball})
+			scan := linearscan.New(data)
+			for _, k := range []int{1, 5, 10} {
+				for i := 0; i < queries.N; i++ {
+					q := queries.Row(i)
+					want, _ := scan.Search(q, core.SearchOptions{K: k})
+					for _, variant := range allVariants() {
+						variant.K = k
+						got, _ := tree.Search(q, variant)
+						if !sameDists(got, want) {
+							t.Fatalf("%v k=%d query %d variant %+v: tree=%v scan=%v",
+								family, k, i, variant, got, want)
+						}
 					}
 				}
 			}
 		}
-	}
+	})
 }
 
 func TestSearchBothPreferencesExact(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 6}, 400, 5)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 10, 6)
-	tree := Build(data, Config{LeafSize: 20, Seed: 7})
-	scan := linearscan.New(data)
-	for i := 0; i < queries.N; i++ {
-		q := queries.Row(i)
-		want, _ := scan.Search(q, core.SearchOptions{K: 3})
-		for _, pref := range []core.Preference{core.PrefCenter, core.PrefLowerBound} {
-			got, _ := tree.Search(q, core.SearchOptions{K: 3, Preference: pref})
-			if !sameDists(got, want) {
-				t.Fatalf("query %d pref %v: tree=%v scan=%v", i, pref, got, want)
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 6}, 400, 5)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 10, 6)
+		tree := Build(data, Config{LeafSize: 20, Seed: 7, BallTree: ball})
+		scan := linearscan.New(data)
+		for i := 0; i < queries.N; i++ {
+			q := queries.Row(i)
+			want, _ := scan.Search(q, core.SearchOptions{K: 3})
+			for _, pref := range []core.Preference{core.PrefCenter, core.PrefLowerBound} {
+				got, _ := tree.Search(q, core.SearchOptions{K: 3, Preference: pref})
+				if !sameDists(got, want) {
+					t.Fatalf("query %d pref %v: tree=%v scan=%v", i, pref, got, want)
+				}
 			}
 		}
-	}
+	})
+}
+
+func TestSearchPrunesNodes(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 16}, 4000, 8)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 5, 9)
+		tree := Build(data, Config{LeafSize: 50, Seed: 1, BallTree: ball})
+		var st core.Stats
+		for i := 0; i < queries.N; i++ {
+			_, s := tree.Search(queries.Row(i), core.SearchOptions{K: 1})
+			st.Add(s)
+		}
+		all := int64(queries.N) * int64(data.N)
+		if st.PrunedNodes == 0 {
+			t.Fatal("expected pruned subtrees on clustered data")
+		}
+		// Pruning must beat the exhaustive scan by a wide margin.
+		if float64(st.Candidates) > 0.8*float64(all) {
+			t.Fatalf("pruning too weak: %d candidates of %d", st.Candidates, all)
+		}
+	})
 }
 
 // TestPointPruningReducesCandidates checks the point of Section IV-B: with
 // the point-level bounds on, fewer candidates are verified than without.
+// A Ball-Tree has no point-level bounds: its default search must equal the
+// one with them switched off, and prune no single point.
 func TestPointPruningReducesCandidates(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 16}, 5000, 8)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 10, 9)
-	tree := Build(data, Config{LeafSize: 100, Seed: 1})
-	var with, without core.Stats
-	for i := 0; i < queries.N; i++ {
-		_, s1 := tree.Search(queries.Row(i), core.SearchOptions{K: 10})
-		with.Add(s1)
-		_, s2 := tree.Search(queries.Row(i), core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true})
-		without.Add(s2)
-	}
-	if with.Candidates >= without.Candidates {
-		t.Fatalf("point-level pruning did not reduce verification: %d >= %d", with.Candidates, without.Candidates)
-	}
-	if with.PrunedPoints == 0 {
-		t.Fatal("expected pruned points on clustered data")
-	}
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 24, Clusters: 16}, 5000, 8)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 10, 9)
+		tree := Build(data, Config{LeafSize: 100, Seed: 1, BallTree: ball})
+		var with, without core.Stats
+		for i := 0; i < queries.N; i++ {
+			_, s1 := tree.Search(queries.Row(i), core.SearchOptions{K: 10})
+			with.Add(s1)
+			_, s2 := tree.Search(queries.Row(i), core.SearchOptions{K: 10, DisablePointBall: true, DisablePointCone: true})
+			without.Add(s2)
+		}
+		if ball {
+			if with != without || with.PrunedPoints != 0 {
+				t.Fatalf("Ball-Tree search depends on point-level switches: %+v vs %+v", with, without)
+			}
+			return
+		}
+		if with.Candidates >= without.Candidates {
+			t.Fatalf("point-level pruning did not reduce verification: %d >= %d", with.Candidates, without.Candidates)
+		}
+		if with.PrunedPoints == 0 {
+			t.Fatal("expected pruned points on clustered data")
+		}
+	})
 }
 
 // TestCollabIPHalvesInnerProducts checks Theorem 5: with Lemma 2 on, the
 // number of O(d) center inner products is (about) half of the variant that
-// computes both children directly.
+// computes both children directly. A Ball-Tree computes both directly
+// (Algorithm 3) whatever the switch says.
 func TestCollabIPHalvesInnerProducts(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 3000, 10)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 10, 11)
-	tree := Build(data, Config{LeafSize: 50, Seed: 2})
-	for i := 0; i < queries.N; i++ {
-		q := queries.Row(i)
-		_, on := tree.Search(q, core.SearchOptions{K: 1})
-		_, off := tree.Search(q, core.SearchOptions{K: 1, DisableCollabIP: true})
-		// Center IPs only: subtract the verification IPs (= Candidates).
-		onIP := on.IPCount - on.Candidates
-		offIP := off.IPCount - off.Candidates
-		if on.CollabIPs == 0 {
-			t.Fatal("collaborative IPs never used")
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 3000, 10)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 10, 11)
+		tree := Build(data, Config{LeafSize: 50, Seed: 2, BallTree: ball})
+		for i := 0; i < queries.N; i++ {
+			q := queries.Row(i)
+			_, on := tree.Search(q, core.SearchOptions{K: 1})
+			_, off := tree.Search(q, core.SearchOptions{K: 1, DisableCollabIP: true})
+			if ball {
+				if on != off || on.CollabIPs != 0 {
+					t.Fatalf("query %d: Ball-Tree used Lemma 2: %+v vs %+v", i, on, off)
+				}
+				continue
+			}
+			// Center IPs only: subtract the verification IPs (= Candidates).
+			onIP := on.IPCount - on.Candidates
+			offIP := off.IPCount - off.Candidates
+			if on.CollabIPs == 0 {
+				t.Fatal("collaborative IPs never used")
+			}
+			// Theorem 5: C_N -> (C_N+1)/2 over the same traversal. The traversals
+			// coincide here because the derived inner products are exact.
+			want := (offIP + 1) / 2
+			if onIP != want {
+				t.Fatalf("query %d: collab IP count %d, want (C_N+1)/2 = %d (C_N=%d)", i, onIP, want, offIP)
+			}
 		}
-		// Theorem 5: C_N -> (C_N+1)/2 over the same traversal. The traversals
-		// coincide here because the derived inner products are exact.
-		want := (offIP + 1) / 2
-		if onIP != want {
-			t.Fatalf("query %d: collab IP count %d, want (C_N+1)/2 = %d (C_N=%d)", i, onIP, want, offIP)
-		}
-	}
+	})
 }
 
 func TestSearchBudgetRespected(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 10}, 1000, 10)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 5, 11)
-	tree := Build(data, Config{LeafSize: 40, Seed: 2})
-	for _, budget := range []int{1, 10, 100, 999} {
-		for i := 0; i < queries.N; i++ {
-			res, st := tree.Search(queries.Row(i), core.SearchOptions{K: 5, Budget: budget})
-			if st.Candidates > int64(budget) {
-				t.Fatalf("budget %d exceeded: %d", budget, st.Candidates)
-			}
-			if len(res) == 0 {
-				t.Fatal("budgeted search must still return something")
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyUniform, RawDim: 10}, 1000, 10)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 5, 11)
+		tree := Build(data, Config{LeafSize: 40, Seed: 2, BallTree: ball})
+		for _, budget := range []int{1, 10, 100, 999} {
+			for i := 0; i < queries.N; i++ {
+				res, st := tree.Search(queries.Row(i), core.SearchOptions{K: 5, Budget: budget})
+				if st.Candidates > int64(budget) {
+					t.Fatalf("budget %d exceeded: %d", budget, st.Candidates)
+				}
+				if len(res) == 0 {
+					t.Fatal("budgeted search must still return something")
+				}
 			}
 		}
+	})
+}
+
+func TestSearchBudgetRecallImproves(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 16, Clusters: 8}, 3000, 12)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 20, 13)
+		tree := Build(data, Config{LeafSize: 50, Seed: 3, BallTree: ball})
+		gt := linearscan.GroundTruth(data, queries, 10)
+		recallAt := func(budget int) float64 {
+			hit, total := 0, 0
+			for i := 0; i < queries.N; i++ {
+				res, _ := tree.Search(queries.Row(i), core.SearchOptions{K: 10, Budget: budget})
+				hit += overlap(res, gt[i])
+				total += len(gt[i])
+			}
+			return float64(hit) / float64(total)
+		}
+		low := recallAt(30)
+		high := recallAt(3000)
+		if high < low-0.01 {
+			t.Fatalf("recall must not degrade with budget: %.3f -> %.3f", low, high)
+		}
+		if high < 0.95 {
+			t.Fatalf("large budget recall too low: %.3f", high)
+		}
+	})
+}
+
+// overlap counts returned ids whose distance is within the ground truth's
+// k-th distance (ties counted as hits, the standard recall convention).
+func overlap(res, gt []core.Result) int {
+	if len(gt) == 0 {
+		return 0
 	}
+	kth := gt[len(gt)-1].Dist
+	hits := 0
+	for _, r := range res {
+		if r.Dist <= kth*(1+1e-9)+1e-12 {
+			hits++
+		}
+	}
+	return min(hits, len(gt))
 }
 
 func TestSearchProfileRecordsPhases(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 800, 14)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 3, 15)
-	tree := Build(data, Config{LeafSize: 30, Seed: 4})
-	prof := &core.Profile{}
-	for i := 0; i < queries.N; i++ {
-		tree.Search(queries.Row(i), core.SearchOptions{K: 5, Profile: prof})
-	}
-	if prof.Get(core.PhaseVerify) <= 0 {
-		t.Fatal("profile must record verification time")
-	}
-	if prof.Get(core.PhaseBound) <= 0 {
-		t.Fatal("profile must record bound time")
-	}
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 800, 14)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 3, 15)
+		tree := Build(data, Config{LeafSize: 30, Seed: 4, BallTree: ball})
+		prof := &core.Profile{}
+		for i := 0; i < queries.N; i++ {
+			tree.Search(queries.Row(i), core.SearchOptions{K: 5, Profile: prof})
+		}
+		if prof.Get(core.PhaseVerify) <= 0 {
+			t.Fatal("profile must record verification time")
+		}
+		if prof.Get(core.PhaseBound) <= 0 {
+			t.Fatal("profile must record bound time")
+		}
+	})
 }
 
 // TestSearchFilteredProfileRecordsPhases pins the phase split on the
 // filtered (point-at-a-time) leaf path: verification inner products must be
 // charged to PhaseVerify, not lumped into PhaseBound.
 func TestSearchFilteredProfileRecordsPhases(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 800, 14)
-	data := raw.AppendOnes()
-	queries := dataset.GenerateQueries(raw, 3, 15)
-	tree := Build(data, Config{LeafSize: 30, Seed: 4})
-	prof := &core.Profile{}
-	for i := 0; i < queries.N; i++ {
-		tree.Search(queries.Row(i), core.SearchOptions{
-			K:       5,
-			Profile: prof,
-			Filter:  func(id int32) bool { return id%2 == 0 },
-		})
-	}
-	if prof.Get(core.PhaseVerify) <= 0 {
-		t.Fatal("filtered profile must record verification time")
-	}
-	if prof.Get(core.PhaseBound) <= 0 {
-		t.Fatal("filtered profile must record bound time")
-	}
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 4}, 800, 14)
+		data := raw.AppendOnes()
+		queries := dataset.GenerateQueries(raw, 3, 15)
+		tree := Build(data, Config{LeafSize: 30, Seed: 4, BallTree: ball})
+		prof := &core.Profile{}
+		for i := 0; i < queries.N; i++ {
+			tree.Search(queries.Row(i), core.SearchOptions{
+				K:       5,
+				Profile: prof,
+				Filter:  func(id int32) bool { return id%2 == 0 },
+			})
+		}
+		if prof.Get(core.PhaseVerify) <= 0 {
+			t.Fatal("filtered profile must record verification time")
+		}
+		if prof.Get(core.PhaseBound) <= 0 {
+			t.Fatal("filtered profile must record bound time")
+		}
+	})
 }
 
 func TestSearchKLargerThanN(t *testing.T) {
-	data := vec.FromRows([][]float32{{0}, {1}, {2}}).AppendOnes()
-	tree := Build(data, Config{LeafSize: 2, Seed: 1})
-	res, _ := tree.Search([]float32{1, -1}, core.SearchOptions{K: 10})
-	if len(res) != 3 {
-		t.Fatalf("k>n should return all 3 points, got %d", len(res))
-	}
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		data := vec.FromRows([][]float32{{0}, {1}, {2}}).AppendOnes()
+		tree := Build(data, Config{LeafSize: 2, Seed: 1, BallTree: ball})
+		res, _ := tree.Search([]float32{1, -1}, core.SearchOptions{K: 10})
+		if len(res) != 3 {
+			t.Fatalf("k>n should return all 3 points, got %d", len(res))
+		}
+	})
 }
 
 // coneBound evaluates the RHS of Inequality 10 for one leaf point, mirroring
@@ -284,76 +380,115 @@ func TestQuickPointBoundsSound(t *testing.T) {
 // TestQuickCollabIPIdentity checks Lemma 2 directly on built trees: the
 // derived right-child inner product matches the direct computation.
 func TestQuickCollabIPIdentity(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(300) + 40
-		d := rng.Intn(10) + 2
-		raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyHeavyTail, RawDim: d}, n, seed)
-		data := raw.AppendOnes()
-		queries := dataset.GenerateQueries(raw, 2, seed+1)
-		tree := Build(data, Config{LeafSize: 10, Seed: seed})
-		for qi := 0; qi < queries.N; qi++ {
-			q := queries.Row(qi)
-			ok := true
-			var walk func(ni int32)
-			walk = func(ni int32) {
-				nd := &tree.nodes[ni]
-				if nd.isLeaf() {
-					return
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := rng.Intn(300) + 40
+			d := rng.Intn(10) + 2
+			raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyHeavyTail, RawDim: d}, n, seed)
+			data := raw.AppendOnes()
+			queries := dataset.GenerateQueries(raw, 2, seed+1)
+			tree := Build(data, Config{LeafSize: 10, Seed: seed, BallTree: ball})
+			for qi := 0; qi < queries.N; qi++ {
+				q := queries.Row(qi)
+				ok := true
+				var walk func(ni int32)
+				walk = func(ni int32) {
+					nd := &tree.nodes[ni]
+					if nd.isLeaf() {
+						return
+					}
+					l, r := &tree.nodes[nd.left], &tree.nodes[nd.right]
+					ip := vec.Dot(q, tree.center(ni))
+					ipl := vec.Dot(q, tree.center(nd.left))
+					ipr := vec.Dot(q, tree.center(nd.right))
+					cn, cl, cr := float64(nd.count()), float64(l.count()), float64(r.count())
+					derived := (cn*ip - cl*ipl) / cr
+					scale := math.Max(1, math.Abs(ipr))
+					// float32 center storage dominates the error budget here.
+					if math.Abs(derived-ipr) > 1e-3*scale {
+						ok = false
+					}
+					walk(nd.left)
+					walk(nd.right)
 				}
-				l, r := &tree.nodes[nd.left], &tree.nodes[nd.right]
-				ip := vec.Dot(q, tree.center(ni))
-				ipl := vec.Dot(q, tree.center(nd.left))
-				ipr := vec.Dot(q, tree.center(nd.right))
-				cn, cl, cr := float64(nd.count()), float64(l.count()), float64(r.count())
-				derived := (cn*ip - cl*ipl) / cr
-				scale := math.Max(1, math.Abs(ipr))
-				// float32 center storage dominates the error budget here.
-				if math.Abs(derived-ipr) > 1e-3*scale {
-					ok = false
+				walk(0)
+				if !ok {
+					return false
 				}
-				walk(nd.left)
-				walk(nd.right)
 			}
-			walk(0)
-			if !ok {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+			t.Error(err)
+		}
+	})
 }
 
 // TestQuickExactInvariantToParams: exact results do not depend on leaf size,
 // preference, or ablation switches.
 func TestQuickExactInvariantToParams(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(250) + 50
-		raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyUniform, RawDim: 8}, n, seed)
-		data := raw.AppendOnes()
-		queries := dataset.GenerateQueries(raw, 2, seed+1)
-		ref := linearscan.New(data)
-		for qi := 0; qi < queries.N; qi++ {
-			q := queries.Row(qi)
-			want, _ := ref.Search(q, core.SearchOptions{K: 4})
-			for _, leaf := range []int{5, 37, 1000} {
-				tree := Build(data, Config{LeafSize: leaf, Seed: seed})
-				for _, variant := range allVariants() {
-					variant.K = 4
-					got, _ := tree.Search(q, variant)
-					if !sameDists(got, want) {
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := rng.Intn(250) + 50
+			raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyUniform, RawDim: 8}, n, seed)
+			data := raw.AppendOnes()
+			queries := dataset.GenerateQueries(raw, 2, seed+1)
+			ref := linearscan.New(data)
+			for qi := 0; qi < queries.N; qi++ {
+				q := queries.Row(qi)
+				want, _ := ref.Search(q, core.SearchOptions{K: 4})
+				for _, leaf := range []int{5, 37, 1000} {
+					tree := Build(data, Config{LeafSize: leaf, Seed: seed, BallTree: ball})
+					for _, variant := range allVariants() {
+						variant.K = 4
+						got, _ := tree.Search(q, variant)
+						if !sameDists(got, want) {
+							return false
+						}
+					}
+				}
+			}
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestQuickNodeBallBoundSound: the node-level ball bound never exceeds the
+// true minimum |<x,q>| within the node (Theorem 2 soundness).
+func TestQuickNodeBallBoundSound(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			n := rng.Intn(150) + 20
+			d := rng.Intn(12) + 2
+			raw := dataset.Generate(dataset.Spec{Name: "q", Family: dataset.FamilyClustered, RawDim: d, Clusters: 4}, n, seed)
+			data := raw.AppendOnes()
+			queries := dataset.GenerateQueries(raw, 3, seed+1)
+			tree := Build(data, Config{LeafSize: 10, Seed: seed, BallTree: ball})
+			for qi := 0; qi < queries.N; qi++ {
+				q := queries.Row(qi)
+				qnorm := vec.Norm(q)
+				for ni := range tree.nodes {
+					nd := &tree.nodes[ni]
+					lb := math.Max(0, math.Abs(vec.Dot(q, tree.center(int32(ni))))-qnorm*nd.radius)
+					trueMin := math.Inf(1)
+					for pos := nd.start; pos < nd.end; pos++ {
+						trueMin = math.Min(trueMin, math.Abs(vec.Dot(q, tree.points.Row(int(pos)))))
+					}
+					if lb > trueMin*(1+1e-9)+1e-9 {
 						return false
 					}
 				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Error(err)
-	}
+		if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+			t.Error(err)
+		}
+	})
 }

@@ -17,24 +17,39 @@ import (
 // (the pointer tree era) is still accepted by Load and converted to the
 // arena on the fly; Save writes version 2, or version 3 when the tree is
 // quantized, so unquantized files stay readable by older code.
-var (
-	magicV1 = []byte("P2HBC001")
-	magicV2 = []byte("P2HBC002")
-	magicV3 = []byte("P2HBC003")
+//
+// Each version exists in two families: P2HBC00v for BC-Trees and P2HBT00v
+// for the Ball-Tree configuration, whose streams are the same layout without
+// the per-node centerNorm column and the point-level arrays — byte for byte
+// what the Ball-Tree package of earlier releases wrote.
+const (
+	magicBC = "P2HBC00"
+	magicBT = "P2HBT00"
 )
+
+// magicFor returns the stream header of the given family and version.
+func magicFor(ball bool, version byte) []byte {
+	family := magicBC
+	if ball {
+		family = magicBT
+	}
+	return append([]byte(family), '0'+version)
+}
 
 // maxSerialDim guards against corrupt headers allocating absurd buffers.
 const maxSerialDim = 1 << 20
 
 // Save writes the tree to w in the version 2 flat format, self-contained so
-// Load can restore it without the original data matrix. The point-level
-// ball and cone arrays ride along so restored trees prune identically.
+// Load can restore it without the original data matrix. A BC-Tree's
+// point-level ball and cone arrays ride along so restored trees prune
+// identically.
 func (t *Tree) Save(w io.Writer) error {
+	ball := t.BallTree()
 	bw := binio.NewWriter(w)
 	if t.qz != nil {
-		bw.Bytes(magicV3)
+		bw.Bytes(magicFor(ball, 3))
 	} else {
-		bw.Bytes(magicV2)
+		bw.Bytes(magicFor(ball, 2))
 	}
 	bw.I32(int32(t.leafSize))
 	bw.I32(int32(t.points.N))
@@ -46,7 +61,9 @@ func (t *Tree) Save(w io.Writer) error {
 	bw.F32s(t.centers.Data)
 	for i := range t.nodes {
 		bw.F64(t.nodes[i].radius)
-		bw.F64(t.nodes[i].centerNorm)
+		if !ball {
+			bw.F64(t.nodes[i].centerNorm)
+		}
 	}
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -55,27 +72,37 @@ func (t *Tree) Save(w io.Writer) error {
 		bw.I32(n.left)
 		bw.I32(n.right)
 	}
-	bw.F64s(t.rx)
-	bw.F64s(t.xcos)
-	bw.F64s(t.xsin)
+	if !ball {
+		bw.F64s(t.rx)
+		bw.F64s(t.xcos)
+		bw.F64s(t.xsin)
+	}
 	if t.qz != nil {
 		quant.WriteSection(bw, t.qz, t.codes)
 	}
 	return bw.Flush()
 }
 
-// Load restores a tree written by Save (version 2) or by the version 1
-// format of earlier releases. The stream is validated structurally; corrupt
-// input yields an error wrapping binio.ErrCorrupt.
+// Load restores a tree of either family written by Save (versions 2 and 3)
+// or by the version 1 format of earlier releases; a Ball-Tree stream
+// restores the Ball-Tree configuration. The stream is validated
+// structurally; corrupt input yields an error wrapping binio.ErrCorrupt.
 func Load(r io.Reader) (*Tree, error) {
 	br := binio.NewReader(r)
-	magic := br.Raw(len(magicV2))
+	magic := br.Raw(len(magicBC) + 1)
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
-	v3 := bytes.Equal(magic, magicV3)
-	v2 := v3 || bytes.Equal(magic, magicV2)
-	if !v2 && !bytes.Equal(magic, magicV1) {
+	var version byte
+	ball := false
+	for v := byte(1); v <= 3; v++ {
+		if bytes.Equal(magic, magicFor(false, v)) {
+			version = v
+		} else if bytes.Equal(magic, magicFor(true, v)) {
+			version, ball = v, true
+		}
+	}
+	if version == 0 {
 		br.Fail("bad magic %q", magic)
 		return nil, br.Err()
 	}
@@ -98,26 +125,18 @@ func Load(r io.Reader) (*Tree, error) {
 	}
 	t := &Tree{leafSize: leafSize, leaves: leaves}
 	t.ids = br.I32s(n)
-	if br.Err() == nil {
-		for _, id := range t.ids {
-			if id < 0 || int(id) >= n {
-				br.Fail("id %d out of range", id)
-				break
-			}
-		}
-	}
 	data := br.F32s(n * d)
 	if err := br.Err(); err != nil {
 		return nil, err
 	}
 	t.points = &vec.Matrix{Data: data, N: n, D: d}
 
-	if v2 {
-		loadFlat(br, t, nodes, d)
+	if version >= 2 {
+		loadFlat(br, t, nodes, d, ball)
 	} else {
-		loadLegacy(br, t, nodes, d)
+		loadLegacy(br, t, nodes, d, ball)
 	}
-	if v3 && br.Err() == nil {
+	if version == 3 && br.Err() == nil {
 		t.qz, t.codes = quant.ReadSection(br, t.points)
 	}
 	if err := br.Err(); err != nil {
@@ -126,12 +145,19 @@ func Load(r io.Reader) (*Tree, error) {
 	if err := validateArena(br, t, leaves); err != nil {
 		return nil, err
 	}
+	if ball {
+		// The Ball-Tree family does not store centerNorm; derive it so node
+		// records mean the same in both configurations.
+		for i := range t.nodes {
+			t.nodes[i].centerNorm = vec.Norm(t.center(int32(i)))
+		}
+	}
 	return t, nil
 }
 
-// loadFlat reads the version 2 columnar node arrays and the position-indexed
-// point-level structures.
-func loadFlat(br *binio.Reader, t *Tree, nodes, d int) {
+// loadFlat reads the version 2 columnar node arrays and, unless ball, the
+// position-indexed point-level structures.
+func loadFlat(br *binio.Reader, t *Tree, nodes, d int, ball bool) {
 	centers := br.F32s(nodes * d)
 	if br.Err() != nil {
 		return
@@ -140,7 +166,9 @@ func loadFlat(br *binio.Reader, t *Tree, nodes, d int) {
 	t.nodes = make([]nodeRec, nodes)
 	for i := range t.nodes {
 		t.nodes[i].radius = br.F64()
-		t.nodes[i].centerNorm = br.F64()
+		if !ball {
+			t.nodes[i].centerNorm = br.F64()
+		}
 	}
 	for i := range t.nodes {
 		n := &t.nodes[i]
@@ -149,22 +177,27 @@ func loadFlat(br *binio.Reader, t *Tree, nodes, d int) {
 		n.left = br.I32()
 		n.right = br.I32()
 	}
-	n := t.points.N
-	t.rx = br.F64s(n)
-	t.xcos = br.F64s(n)
-	t.xsin = br.F64s(n)
+	if !ball {
+		n := t.points.N
+		t.rx = br.F64s(n)
+		t.xcos = br.F64s(n)
+		t.xsin = br.F64s(n)
+	}
 }
 
 // loadLegacy reads the version 1 recursive record stream (leaf flag, range,
-// radius, centerNorm, center, per-leaf point arrays, then children),
-// appending nodes to the arena in the file's preorder and scattering the
-// leaf arrays into the position-indexed layout.
-func loadLegacy(br *binio.Reader, t *Tree, nodes, d int) {
-	n := t.points.N
+// radius, centerNorm, center, per-leaf point arrays, then children; a
+// Ball-Tree stream has neither centerNorm nor point arrays), appending nodes
+// to the arena in the file's preorder and scattering the leaf arrays into
+// the position-indexed layout.
+func loadLegacy(br *binio.Reader, t *Tree, nodes, d int, ball bool) {
 	t.centers = &vec.Matrix{Data: make([]float32, 0, nodes*d), N: 0, D: d}
-	t.rx = make([]float64, n)
-	t.xcos = make([]float64, n)
-	t.xsin = make([]float64, n)
+	if !ball {
+		n := t.points.N
+		t.rx = make([]float64, n)
+		t.xcos = make([]float64, n)
+		t.xsin = make([]float64, n)
+	}
 	ld := &legacyLoader{br: br, t: t, budget: nodes}
 	ld.load()
 	if br.Err() == nil && ld.budget != 0 {
@@ -195,7 +228,9 @@ func (ld *legacyLoader) load() int32 {
 	})
 	nd := &ld.t.nodes[ni]
 	nd.radius = ld.br.F64()
-	nd.centerNorm = ld.br.F64()
+	if ld.t.rx != nil {
+		nd.centerNorm = ld.br.F64()
+	}
 	ld.t.centers.Data = append(ld.t.centers.Data, ld.br.F32s(ld.t.centers.D)...)
 	if ld.br.Err() != nil {
 		return ni
@@ -205,6 +240,9 @@ func (ld *legacyLoader) load() int32 {
 		return ni
 	}
 	if leaf == 1 {
+		if ld.t.rx == nil {
+			return ni
+		}
 		cnt := int(nd.count())
 		start := int(nd.start)
 		copy(ld.t.rx[start:start+cnt], ld.br.F64s(cnt))
@@ -219,14 +257,27 @@ func (ld *legacyLoader) load() int32 {
 	return ni
 }
 
-// validateArena checks the structural invariants shared by both formats:
-// in-range node fields, the root covering [0, n), children partitioning
-// their parent at strictly larger arena indices, every node reachable from
-// the root exactly once with the declared leaf count, and descending radii
-// within each leaf's slice of the point-level arrays.
+// validateArena checks the structural invariants shared by every format:
+// ids a permutation of [0, n), in-range node fields, the root covering
+// [0, n), children partitioning their parent at strictly larger arena
+// indices, every node reachable from the root exactly once with the declared
+// leaf count, and descending radii within each leaf's slice of the
+// point-level arrays.
 func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 	nodes := int32(len(t.nodes))
 	n := int32(t.points.N)
+	seen := make([]uint64, (n+63)/64)
+	for _, id := range t.ids {
+		if id < 0 || id >= n {
+			br.Fail("id %d out of range", id)
+			return br.Err()
+		}
+		if seen[id/64]&(1<<(id%64)) != 0 {
+			br.Fail("id %d appears twice", id)
+			return br.Err()
+		}
+		seen[id/64] |= 1 << (id % 64)
+	}
 	for i := range t.nodes {
 		nd := &t.nodes[i]
 		if nd.start < 0 || nd.end <= nd.start || nd.end > n {
@@ -267,7 +318,7 @@ func validateArena(br *binio.Reader, t *Tree, leaves int) error {
 		nd := &t.nodes[ni]
 		if nd.isLeaf() {
 			leafCount++
-			for p := nd.start + 1; p < nd.end; p++ {
+			for p := nd.start + 1; p < nd.end && t.rx != nil; p++ {
 				if t.rx[p] > t.rx[p-1] {
 					br.Fail("leaf %d radii not descending at position %d", ni, p)
 					return

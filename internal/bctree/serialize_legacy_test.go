@@ -11,13 +11,15 @@ import (
 )
 
 // writeLegacyV1 emits the version 1 recursive record stream for a tree, as
-// (*Tree).Save wrote it before the flat arena era: each leaf record carries
-// its own slices of the point-level arrays. Tests use it to prove the loader
+// (*Tree).Save wrote it before the flat arena era: each BC-Tree leaf record
+// carries its own slices of the point-level arrays, and a Ball-Tree record
+// has neither those nor centerNorm. Tests use it to prove the loader
 // still understands the old format for arbitrary trees; the checked-in
 // fixture proves byte compatibility with the real historical writer.
 func writeLegacyV1(w io.Writer, t *Tree) error {
 	bw := binio.NewWriter(w)
-	bw.Bytes(magicV1)
+	ball := t.BallTree()
+	bw.Bytes(magicFor(ball, 1))
 	bw.I32(int32(t.leafSize))
 	bw.I32(int32(t.points.N))
 	bw.I32(int32(t.points.D))
@@ -36,8 +38,13 @@ func writeLegacyV1(w io.Writer, t *Tree) error {
 		bw.I32(n.start)
 		bw.I32(n.end)
 		bw.F64(n.radius)
-		bw.F64(n.centerNorm)
+		if !ball {
+			bw.F64(n.centerNorm)
+		}
 		bw.F32s(t.center(ni))
+		if n.isLeaf() && ball {
+			return
+		}
 		if n.isLeaf() {
 			bw.F64s(t.rx[n.start:n.end])
 			bw.F64s(t.xcos[n.start:n.end])
@@ -79,52 +86,61 @@ func expectSameSearch(t *testing.T, a, b *Tree, seed int64) {
 }
 
 // TestLoadLegacyFixture loads bytes written by the historical version 1
-// writer and checks the restored tree matches a fresh build of the same data.
+// writers (BC-Tree and Ball-Tree) and checks the restored tree matches a
+// fresh build of the same data.
 func TestLoadLegacyFixture(t *testing.T) {
-	f, err := os.Open("testdata/legacy_v1.p2hbc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	restored, err := Load(f)
-	if err != nil {
-		t.Fatalf("loading legacy fixture: %v", err)
-	}
-	raw := dataset.Generate(dataset.Spec{Name: "fixture", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 6}, 300, 42)
-	fresh := Build(raw.AppendOnes(), Config{LeafSize: 20, Seed: 7})
-	if restored.N() != fresh.N() || restored.Dim() != fresh.Dim() ||
-		restored.Nodes() != fresh.Nodes() || restored.Leaves() != fresh.Leaves() ||
-		restored.LeafSize() != fresh.LeafSize() {
-		t.Fatalf("metadata mismatch: %s vs %s", restored, fresh)
-	}
-	checkTreeInvariants(t, restored)
-	expectSameSearch(t, restored, fresh, 42)
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		path := "testdata/legacy_v1.p2hbc"
+		if ball {
+			path = "testdata/legacy_v1.p2hbt"
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		restored, err := Load(f)
+		if err != nil {
+			t.Fatalf("loading legacy fixture: %v", err)
+		}
+		raw := dataset.Generate(dataset.Spec{Name: "fixture", Family: dataset.FamilyClustered, RawDim: 12, Clusters: 6}, 300, 42)
+		fresh := Build(raw.AppendOnes(), Config{LeafSize: 20, Seed: 7, BallTree: ball})
+		if restored.N() != fresh.N() || restored.Dim() != fresh.Dim() ||
+			restored.Nodes() != fresh.Nodes() || restored.Leaves() != fresh.Leaves() ||
+			restored.LeafSize() != fresh.LeafSize() || restored.BallTree() != ball {
+			t.Fatalf("metadata mismatch: %s vs %s", restored, fresh)
+		}
+		checkTreeInvariants(t, restored)
+		expectSameSearch(t, restored, fresh, 42)
+	})
 }
 
 // TestLegacyRoundTripThroughV2 checks the conversion chain: a tree written in
 // the old format, loaded (converting to the flat arena), re-saved in version
 // 2, and loaded again must search identically to the original.
 func TestLegacyRoundTripThroughV2(t *testing.T) {
-	raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyHeavyTail, RawDim: 9}, 450, 11)
-	orig := Build(raw.AppendOnes(), Config{LeafSize: 15, Seed: 5})
+	forEachConfig(t, func(t *testing.T, ball bool) {
+		raw := dataset.Generate(dataset.Spec{Name: "t", Family: dataset.FamilyHeavyTail, RawDim: 9}, 450, 11)
+		orig := Build(raw.AppendOnes(), Config{LeafSize: 15, Seed: 5, BallTree: ball})
 
-	var v1 bytes.Buffer
-	if err := writeLegacyV1(&v1, orig); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := Load(&v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := fromV1.Save(&v2); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := Load(&v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkTreeInvariants(t, fromV2)
-	expectSameSearch(t, orig, fromV1, 11)
-	expectSameSearch(t, orig, fromV2, 11)
+		var v1 bytes.Buffer
+		if err := writeLegacyV1(&v1, orig); err != nil {
+			t.Fatal(err)
+		}
+		fromV1, err := Load(&v1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v2 bytes.Buffer
+		if err := fromV1.Save(&v2); err != nil {
+			t.Fatal(err)
+		}
+		fromV2, err := Load(&v2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTreeInvariants(t, fromV2)
+		expectSameSearch(t, orig, fromV1, 11)
+		expectSameSearch(t, orig, fromV2, 11)
+	})
 }

@@ -1,10 +1,14 @@
-// Package bctree implements the paper's Section IV: BC-Tree, a Ball-Tree
-// whose leaf nodes additionally maintain Ball and Cone structures per data
-// point. The extra structures enable two O(1) point-level lower bounds —
-// the point-level ball bound (Corollary 1) and the tighter point-level cone
+// Package bctree implements the paper's two trees in one arena: BC-Tree
+// (Section IV), a Ball-Tree whose leaf nodes additionally maintain Ball and
+// Cone structures per data point, and — as the build configuration without
+// those point-level structures (Config.BallTree) — the Section III Ball-Tree.
+// The extra structures enable two O(1) point-level lower bounds — the
+// point-level ball bound (Corollary 1) and the tighter point-level cone
 // bound (Theorem 3) — which prune individual candidates inside a leaf before
 // the O(d) verification, and a collaborative inner product computing strategy
-// (Lemma 2) that nearly halves the node-level bound cost (Theorem 5).
+// (Lemma 2) that nearly halves the node-level bound cost (Theorem 5). With
+// all three switched off, BC-Tree's search (Algorithm 5) is exactly
+// Ball-Tree's (Algorithm 3), which is what the Ball-Tree configuration runs.
 //
 // Storage is a flat arena: all nodes live in one []nodeRec slice with
 // children addressed by index, all node centers are packed into one
@@ -41,7 +45,7 @@ const boundSlack = 1e-9
 // noChild marks a leaf's child slots in the flat arena.
 const noChild = int32(-1)
 
-// Config parameterizes BC-Tree construction.
+// Config parameterizes tree construction.
 type Config struct {
 	// LeafSize is the maximum number of points per leaf (the paper's N0).
 	// Zero selects DefaultLeafSize.
@@ -55,6 +59,10 @@ type Config struct {
 	// filter is conservative); exact unfiltered searches get cheaper leaf
 	// scans for +25% memory.
 	Quantize bool
+	// BallTree builds the Section III Ball-Tree instead: no point-level
+	// ball and cone arrays, leaf rows kept in build order, and every search
+	// runs with the point-level bounds and Lemma 2 forced off (Algorithm 3).
+	BallTree bool
 }
 
 func (c Config) normalized() Config {
@@ -66,9 +74,10 @@ func (c Config) normalized() Config {
 
 // nodeRec is one ball of the tree in the flat arena. Leaf nodes have
 // left == right == noChild and cover positions [start, end) of the reordered
-// storage; their point-level structures are the [start, end) slices of the
-// tree's rx/xcos/xsin arrays, ordered by descending r_x. Children always sit
-// at larger arena indices than their parent (preorder construction).
+// storage; in a BC-Tree their point-level structures are the [start, end)
+// slices of the tree's rx/xcos/xsin arrays, ordered by descending r_x.
+// Children always sit at larger arena indices than their parent (preorder
+// construction).
 type nodeRec struct {
 	radius      float64
 	centerNorm  float64 // ||center||, precomputed for the cone bound
@@ -79,7 +88,8 @@ type nodeRec struct {
 func (n *nodeRec) count() int32 { return n.end - n.start }
 func (n *nodeRec) isLeaf() bool { return n.left == noChild }
 
-// Tree is a BC-Tree over lifted data points x = (p; 1).
+// Tree is a BC-Tree, or in the Ball-Tree configuration a Ball-Tree, over
+// lifted data points x = (p; 1).
 type Tree struct {
 	points  *vec.Matrix // reordered copy: leaf ranges are contiguous rows
 	ids     []int32     // position -> original data id
@@ -87,7 +97,8 @@ type Tree struct {
 	centers *vec.Matrix // nodes x d: packed node centers
 
 	// Position-indexed point-level structures (Algorithm 4 lines 5-9),
-	// length n; within each leaf's [start, end) slice rx is descending.
+	// length n; within each leaf's [start, end) slice rx is descending. All
+	// three are nil in the Ball-Tree configuration.
 	rx   []float64 // ball radii r_x = ||x - center||
 	xcos []float64 // ||x|| cos(phi_x), the projection of x onto center
 	xsin []float64 // ||x|| sin(phi_x), the rejection of x from center
@@ -149,6 +160,10 @@ func (t *Tree) height(ni int32) int {
 	return hr + 1
 }
 
+// BallTree reports whether the tree is in the Ball-Tree configuration (no
+// point-level structures; see Config.BallTree).
+func (t *Tree) BallTree() bool { return t.rx == nil }
+
 // Quantized reports whether the tree carries the 8-bit leaf mirror.
 func (t *Tree) Quantized() bool { return t.qz != nil }
 
@@ -180,12 +195,15 @@ func (t *Tree) Attrs() *attr.Store { return t.attrs }
 
 // IndexBytes estimates the memory footprint of the index structure: the
 // packed centers matrix, the node records, the position->id map, the three
-// Θ(n)-size point-level arrays that BC-Tree adds over Ball-Tree (Theorem 6),
-// and the quantized mirror when present.
+// Θ(n)-size point-level arrays that BC-Tree adds over Ball-Tree (Theorem 6;
+// absent in the Ball-Tree configuration), and the quantized mirror when
+// present. The reordered copy of the data is reported separately by
+// DataBytes, mirroring how the paper's Table III separates index size from
+// data size.
 func (t *Tree) IndexBytes() int64 {
 	const perNode = 2*8 /*radius+norm*/ + 2*4 /*range*/ + 2*4 /*children*/
 	b := t.centers.Bytes() + int64(len(t.nodes))*perNode +
-		int64(len(t.ids))*4 + int64(t.points.N)*3*8
+		int64(len(t.ids))*4 + int64(len(t.rx))*3*8
 	if t.qz != nil {
 		b += int64(len(t.codes)) + int64(t.points.D)*(4+4+8)
 	}
@@ -200,6 +218,10 @@ func (t *Tree) DataBytes() int64 { return t.points.Bytes() }
 
 // String summarizes the tree for logs.
 func (t *Tree) String() string {
-	return fmt.Sprintf("bctree{n=%d d=%d leafsize=%d nodes=%d leaves=%d height=%d}",
-		t.N(), t.Dim(), t.leafSize, t.Nodes(), t.leaves, t.Height())
+	name := "bctree"
+	if t.BallTree() {
+		name = "balltree"
+	}
+	return fmt.Sprintf("%s{n=%d d=%d leafsize=%d nodes=%d leaves=%d height=%d}",
+		name, t.N(), t.Dim(), t.leafSize, t.Nodes(), t.leaves, t.Height())
 }

@@ -160,9 +160,9 @@ func Load(r io.Reader) (*Index, error) {
 		if err != nil {
 			return nil, fmt.Errorf("snapshot tree: %w", err)
 		}
-		if tree.N() != nids || tree.Dim() != dim {
-			return nil, fmt.Errorf("%w: snapshot tree shape %dx%d, want %dx%d",
-				binio.ErrCorrupt, tree.N(), tree.Dim(), nids, dim)
+		if tree.N() != nids || tree.Dim() != dim || tree.BallTree() {
+			return nil, fmt.Errorf("%w: snapshot tree %s, want a bctree of %dx%d",
+				binio.ErrCorrupt, tree, nids, dim)
 		}
 		ix.tree = tree
 		ix.treeIDs = ids

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"p2h/internal/balltree"
 	"p2h/internal/bctree"
 	"p2h/internal/fh"
 	"p2h/internal/kdtree"
@@ -59,7 +58,7 @@ func (p Params) lambda(d int) int {
 func BallTree(p Params) Method {
 	p = p.normalized()
 	return Method{Name: "Ball-Tree", Build: func(data *vec.Matrix) BuiltIndex {
-		return balltree.Build(data, balltree.Config{LeafSize: p.LeafSize, Seed: p.Seed})
+		return bctree.Build(data, bctree.Config{LeafSize: p.LeafSize, Seed: p.Seed, BallTree: true})
 	}}
 }
 

@@ -25,7 +25,7 @@
 //     leaf scan") for the full derivation.
 //
 //   - Scan is the exhaustive filter-then-verify baseline over a whole
-//     matrix; internal/balltree and internal/bctree run the same filter
+//     matrix; internal/bctree (both configurations) runs the same filter
 //     per leaf block inside tree traversal.
 //
 // Everything here preserves exactness: filters only ever skip rows whose

@@ -143,9 +143,9 @@ func Load(r io.Reader) (*Index, error) {
 			errs[si] = fmt.Errorf("shard %d: %w", si, err)
 			return
 		}
-		if t.N() != len(ix.ids[si]) || t.Dim() != d {
-			errs[si] = fmt.Errorf("shard %d: %w: tree shape %dx%d, want %dx%d",
-				si, binio.ErrCorrupt, t.N(), t.Dim(), len(ix.ids[si]), d)
+		if t.N() != len(ix.ids[si]) || t.Dim() != d || t.BallTree() {
+			errs[si] = fmt.Errorf("shard %d: %w: tree %s, want a bctree of %dx%d",
+				si, binio.ErrCorrupt, t, len(ix.ids[si]), d)
 			return
 		}
 		ix.trees[si] = t

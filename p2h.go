@@ -3,10 +3,11 @@ package p2h
 import (
 	"fmt"
 	"io"
+	"os"
 
 	"p2h/internal/attr"
-	"p2h/internal/balltree"
 	"p2h/internal/bctree"
+	"p2h/internal/binio"
 	"p2h/internal/core"
 	"p2h/internal/fh"
 	"p2h/internal/kdtree"
@@ -132,9 +133,10 @@ type BallTreeOptions struct {
 	Quantize bool
 }
 
-// BallTree is the paper's Section III index.
+// BallTree is the paper's Section III index: a BC-Tree built without the
+// point-level structures (see internal/bctree).
 type BallTree struct {
-	tree *balltree.Tree
+	tree *bctree.Tree
 	raw  int // raw point dimensionality d
 }
 
@@ -217,7 +219,7 @@ func (t *BallTree) SaveFile(path string) error { return t.tree.SaveFile(path) }
 // a kind-pinned wrapper; new code should prefer the package-level Load,
 // which restores any registered kind (including this format).
 func LoadBallTree(r io.Reader) (*BallTree, error) {
-	tree, err := balltree.Load(r)
+	tree, err := loadTree(r, true)
 	if err != nil {
 		return nil, err
 	}
@@ -227,11 +229,26 @@ func LoadBallTree(r io.Reader) (*BallTree, error) {
 // LoadBallTreeFile restores an index from the named file; it is the
 // kind-pinned wrapper over Open, kept for compatibility.
 func LoadBallTreeFile(path string) (*BallTree, error) {
-	tree, err := balltree.LoadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &BallTree{tree: tree, raw: tree.Dim() - 1}, nil
+	defer f.Close()
+	return LoadBallTree(f)
+}
+
+// loadTree restores a bare tree stream and requires the configuration the
+// caller's kind expects — the Ball-Tree family when ball is set — so a
+// BC-Tree file never loads as a Ball-Tree or the other way round.
+func loadTree(r io.Reader, ball bool) (*bctree.Tree, error) {
+	tree, err := bctree.Load(r)
+	if err != nil {
+		return nil, err
+	}
+	if tree.BallTree() != ball {
+		return nil, fmt.Errorf("%w: stream holds a %s", binio.ErrCorrupt, tree)
+	}
+	return tree, nil
 }
 
 // BCTreeOptions configures NewBCTree. The zero value uses the paper's
@@ -290,7 +307,7 @@ func (t *BCTree) SaveFile(path string) error { return t.tree.SaveFile(path) }
 // kind-pinned wrapper; new code should prefer the package-level Load, which
 // restores any registered kind (including this format).
 func LoadBCTree(r io.Reader) (*BCTree, error) {
-	tree, err := bctree.Load(r)
+	tree, err := loadTree(r, false)
 	if err != nil {
 		return nil, err
 	}
@@ -300,11 +317,12 @@ func LoadBCTree(r io.Reader) (*BCTree, error) {
 // LoadBCTreeFile restores an index from the named file; it is the
 // kind-pinned wrapper over Open, kept for compatibility.
 func LoadBCTreeFile(path string) (*BCTree, error) {
-	tree, err := bctree.LoadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &BCTree{tree: tree, raw: tree.Dim() - 1}, nil
+	defer f.Close()
+	return LoadBCTree(f)
 }
 
 // KDTreeOptions configures NewKDTree.

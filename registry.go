@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 
-	"p2h/internal/balltree"
 	"p2h/internal/bctree"
 	"p2h/internal/dynamic"
 	"p2h/internal/fh"
@@ -204,14 +203,14 @@ func init() {
 			if err := checkBuildData(KindBallTree, data, spec); err != nil {
 				return nil, err
 			}
-			tree := balltree.Build(data.AppendOnes(), balltree.Config{
-				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize,
+			tree := bctree.Build(data.AppendOnes(), bctree.Config{
+				LeafSize: spec.LeafSize, Seed: spec.Seed, Quantize: spec.Quantize, BallTree: true,
 			})
 			return &BallTree{tree: tree, raw: data.D}, nil
 		},
 		Save: func(w io.Writer, ix Index) error { return ix.(*BallTree).tree.Save(w) },
 		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := balltree.Load(r)
+			tree, err := loadTree(r, true)
 			if err != nil {
 				return nil, err
 			}
@@ -239,7 +238,7 @@ func init() {
 		},
 		Save: func(w io.Writer, ix Index) error { return ix.(*BCTree).tree.Save(w) },
 		Load: func(r io.Reader, _ Spec) (Index, error) {
-			tree, err := bctree.Load(r)
+			tree, err := loadTree(r, false)
 			if err != nil {
 				return nil, err
 			}

@@ -9,8 +9,9 @@
 #                                                 or allocs/op increase
 #
 # The suite covers the layers the execution engine optimizes: the vec
-# kernels, the balltree/bctree searches (per-query and batched), and the
-# serving path. -count=6 gives benchstat enough samples for a significance
+# kernels, the tree searches of internal/bctree in both its configurations
+# (BallTree and BCTree benchmarks, per-query and batched), and the serving
+# path. -count=6 gives benchstat enough samples for a significance
 # test; -benchmem records allocs/op so the zero-allocation steady state is
 # gated alongside time.
 set -euo pipefail
